@@ -38,12 +38,33 @@ pub struct SearchStats {
     pub distance_evaluations: u64,
     /// Points filtered by a quantized phase-1 kernel (two-phase scans).
     pub quant_phase1_points: u64,
-    /// Candidates exactly reranked by a two-phase scan's phase 2.
+    /// Pages a two-phase scan addressed.
+    pub quant_pages: u64,
+    /// Of those, pages skipped on their page bound.
+    pub quant_pages_skipped: u64,
+    /// Exact distances a two-phase scan computed: phase-2 candidates
+    /// plus the points of its seed pages.
     pub quant_reranked: u64,
     /// Full exact rescans a two-phase scan fell back to.
     pub quant_fallbacks: u64,
     /// Queries that could not compile a quantized plan and ran exact.
     pub quant_plan_misses: u64,
+}
+
+impl SearchStats {
+    /// Accumulates another search's counters.
+    pub fn absorb(&mut self, other: &SearchStats) {
+        self.nodes_accessed += other.nodes_accessed;
+        self.cache_hits += other.cache_hits;
+        self.disk_reads += other.disk_reads;
+        self.distance_evaluations += other.distance_evaluations;
+        self.quant_phase1_points += other.quant_phase1_points;
+        self.quant_pages += other.quant_pages;
+        self.quant_pages_skipped += other.quant_pages_skipped;
+        self.quant_reranked += other.quant_reranked;
+        self.quant_fallbacks += other.quant_fallbacks;
+        self.quant_plan_misses += other.quant_plan_misses;
+    }
 }
 
 /// Max-heap entry for the result set (largest distance on top).

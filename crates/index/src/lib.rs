@@ -44,8 +44,8 @@ pub use dynamic::{DynamicIndex, DynamicStats};
 pub use incremental::KnnIter;
 pub use knn::{merge_top_k, Neighbor, SearchStats, TopK};
 pub use quant::{
-    default_rerank_window, QuantParams, QuantPlan, QuantScanStats, QuantSpec, QuantizedScan,
-    TileCorpus, QUANT_BLOCK_TILES,
+    default_rerank_window, seed_bound, QuantParams, QuantPlan, QuantScanStats, QuantSpec,
+    QuantizedScan, TileCorpus, QUANT_BLOCK_TILES, QUANT_PAGE_POINTS,
 };
 pub use scan::{LinearScan, SCAN_BLOCK_POINTS};
 pub use tree::HybridTree;

@@ -4,7 +4,10 @@
 //! Phase 1 walks a `u8` code column at ~4× the memory bandwidth of the
 //! exact `f64` column and computes a **sound lower bound** on every
 //! point's distance, keeping the best `m` candidates in a bounded heap.
-//! Phase 2 reranks only those candidates with the exact `f64` kernel.
+//! It streams the column in 256-point pages, and a page whose own bound
+//! (from its per-dimension code ranges) already exceeds the scan's
+//! threshold is skipped unread. Phase 2 reranks only the candidates
+//! with the exact `f64` kernel.
 //! Because the bound is sound (never exceeds the exact computed
 //! distance) and the final acceptance check is verified against the
 //! phase-1 heap, the returned top-k is **bit-for-bit identical** to the
@@ -57,8 +60,12 @@ use qcluster_linalg::vecops::TILE_LANES;
 pub const QUANT_LEVELS: f64 = 255.0;
 
 /// Tiles per phase-1 kernel call (32 tiles = 256 points, L1-resident
-/// codes + outputs).
+/// codes + outputs): one page.
 pub const QUANT_BLOCK_TILES: usize = 32;
+
+/// Points per phase-1 page, the unit the two-phase scan bounds, skips
+/// and streams.
+pub const QUANT_PAGE_POINTS: usize = QUANT_BLOCK_TILES * TILE_LANES;
 
 /// Multiplicative deflation applied to every phase-1 bound: absorbs the
 /// relative rounding of the `f32` subtract/square/aggregate tail.
@@ -292,6 +299,13 @@ struct PlanChunk {
     abs: [f32; CHUNK_COMPONENTS],
     mass: [f32; CHUNK_COMPONENTS],
     guard: f32,
+    /// `C0` in `f64`, for page bounds.
+    c0_64: [f64; CHUNK_COMPONENTS],
+    /// Page-bound coefficients `[A, B, vertex]` in `f64` for component
+    /// `r`, dimension `j` at `r*dim + j`. The vertex is the real code
+    /// minimising `q(Aq + B)`: `−B/2A`, or `∓∞` when `A = 0` so a
+    /// clamp into a code range picks the minimising end.
+    page_coeffs: Vec<[f64; 3]>,
 }
 
 /// A query compiled against one corpus' [`QuantParams`]: the phase-1
@@ -328,6 +342,8 @@ impl QuantPlan {
             let mut erra = [0.0f32; CHUNK_COMPONENTS];
             let mut absa = [0.0f32; CHUNK_COMPONENTS];
             let mut massa = [0.0f32; CHUNK_COMPONENTS];
+            let mut c0_64 = [0.0f64; CHUNK_COMPONENTS];
+            let mut page_coeffs = vec![[0.0f64; 3]; gc * dim];
             let mut guard = 0.0f64;
             for (r, spec) in group.iter().enumerate() {
                 if spec.center.len() != dim {
@@ -370,6 +386,14 @@ impl QuantPlan {
                     let base = (j * gc + r) * 2 * TILE_LANES;
                     coeffs8[base..base + TILE_LANES].fill(a as f32);
                     coeffs8[base + TILE_LANES..base + 2 * TILE_LANES].fill(b as f32);
+                    let vertex = if a > 0.0 {
+                        -b / (2.0 * a)
+                    } else if b > 0.0 {
+                        f64::NEG_INFINITY
+                    } else {
+                        f64::INFINITY
+                    };
+                    page_coeffs[r * dim + j] = [a, b, vertex];
                 }
                 s_quant += c0.abs();
                 // Quantization error stays in sqrt units (Cauchy-
@@ -394,6 +418,7 @@ impl QuantPlan {
                     return None;
                 }
                 c0a[r] = c0 as f32;
+                c0_64[r] = c0;
                 erra[r] = e_safe as f32;
                 absa[r] = abs_margin as f32;
                 massa[r] = spec.mass as f32;
@@ -407,6 +432,8 @@ impl QuantPlan {
                 abs: absa,
                 mass: massa,
                 guard: guard as f32,
+                c0_64,
+                page_coeffs,
             });
         }
         Some(QuantPlan {
@@ -446,6 +473,116 @@ impl QuantPlan {
             *o = if v.is_finite() { v.max(0.0) } else { 0.0 };
         }
     }
+
+    /// Lower-bounds every member of each of `npages` pages from the
+    /// pages' per-dimension code ranges, dimension-major
+    /// (`lo[j*npages + p]`, `hi[j*npages + p]`), into `out` (see
+    /// [`PageBound`]).
+    ///
+    /// Each component's code polynomial `q(Aq + B)` is convex (or
+    /// linear) per dimension, so its minimum over a page's code box is
+    /// at the vertex clamped into the range. The box minimum then takes
+    /// the margins of [`QuantPlan::lower_bounds`] (evaluation margin in
+    /// squared units, `E` after the root, deflation, zero guard) and the
+    /// same monotone harmonic aggregate, all in `f64`, whose rounding is
+    /// far inside the `κ·S` margin priced for the `f32` kernel. The
+    /// result never exceeds a member's computed exact distance.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lo`/`hi` are not `dim * npages` long.
+    fn page_bounds(&self, lo: &[u8], hi: &[u8], npages: usize, out: &mut Vec<PageBound>) {
+        assert_eq!(lo.len(), self.dim * npages, "page range length mismatch");
+        assert_eq!(hi.len(), self.dim * npages, "page range length mismatch");
+        // Each field accumulates `Σ_r mass_r / value_r` first.
+        out.clear();
+        out.resize(
+            npages,
+            PageBound {
+                bound: 0.0,
+                rank: 0.0,
+            },
+        );
+        let mut d = vec![0.0f64; npages];
+        let deflate = f64::from(LB_DEFLATE);
+        for chunk in &self.chunks {
+            let guard = f64::from(chunk.guard);
+            for r in 0..chunk.gc {
+                d.fill(chunk.c0_64[r]);
+                for j in 0..self.dim {
+                    let [a, b, vertex] = chunk.page_coeffs[r * self.dim + j];
+                    let lo_j = &lo[j * npages..(j + 1) * npages];
+                    let hi_j = &hi[j * npages..(j + 1) * npages];
+                    add_box_minima(&mut d, lo_j, hi_j, [a, b, vertex]);
+                }
+                let (e, ab, m) = (
+                    f64::from(chunk.err[r]),
+                    f64::from(chunk.abs[r]),
+                    f64::from(chunk.mass[r]),
+                );
+                for (o, &dp) in out.iter_mut().zip(&d) {
+                    let rr = ((dp - ab).max(0.0).sqrt() - e).max(0.0);
+                    let lb = (rr * rr * deflate - guard).max(0.0);
+                    o.bound += m / lb;
+                    o.rank += m / dp.max(0.0);
+                }
+            }
+        }
+        let total = f64::from(self.total_mass);
+        let finish = |sum: f64| {
+            let v = total / sum;
+            if v.is_finite() {
+                v.max(0.0)
+            } else {
+                0.0
+            }
+        };
+        for o in out.iter_mut() {
+            o.bound = finish(o.bound);
+            o.rank = finish(o.rank);
+        }
+    }
+}
+
+/// Adds one dimension's term `q(Aq + B)`, minimised over each page's
+/// code range `[lo, hi]`, into `d`; dispatches to an AVX2 build of the
+/// same loop when the CPU has it.
+fn add_box_minima(d: &mut [f64], lo: &[u8], hi: &[u8], coeffs: [f64; 3]) {
+    #[inline(always)]
+    fn add(d: &mut [f64], lo: &[u8], hi: &[u8], [a, b, vertex]: [f64; 3]) {
+        for ((dp, &lo_p), &hi_p) in d.iter_mut().zip(lo).zip(hi) {
+            let q = vertex.max(f64::from(lo_p)).min(f64::from(hi_p));
+            *dp += q * (a * q + b);
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// # Safety
+        ///
+        /// Requires `avx2`.
+        #[target_feature(enable = "avx2")]
+        unsafe fn add_avx2(d: &mut [f64], lo: &[u8], hi: &[u8], coeffs: [f64; 3]) {
+            add(d, lo, hi, coeffs);
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: feature presence just checked.
+            unsafe { add_avx2(d, lo, hi, coeffs) };
+            return;
+        }
+    }
+    add(d, lo, hi, coeffs);
+}
+
+/// One page's bound under a query plan ([`QuantPlan::page_bounds`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PageBound {
+    /// At most the computed exact distance of every point in the page.
+    bound: f64,
+    /// The same aggregate of box minima without the soundness margins.
+    /// Not a bound: a finer order among pages whose bounds the margins
+    /// snap to the same value (often zero near the query), used to pick
+    /// the seed pages.
+    rank: f64,
 }
 
 /// Adds `Σ_r mass_r / LB_r(p)` for one component chunk into `acc`,
@@ -604,9 +741,15 @@ mod avx2 {
 /// Statistics from one [`QuantizedScan::two_phase_knn`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuantScanStats {
-    /// Points filtered by the quantized phase-1 kernel.
+    /// Points bounded by the quantized phase-1 kernel (points of skipped
+    /// pages are not counted).
     pub phase1_points: u64,
-    /// Candidates exactly reranked in phase 2.
+    /// Pages the scan addressed.
+    pub pages: u64,
+    /// Pages skipped because their page bound exceeded the threshold.
+    pub pages_skipped: u64,
+    /// Exact distances computed: phase-2 candidates plus the seed
+    /// pages' points.
     pub reranked: u64,
     /// Full exact rescans taken because the candidate window could not
     /// be certified (or a bound self-check failed).
@@ -619,6 +762,8 @@ impl QuantScanStats {
     /// Accumulates another call's counters.
     pub fn absorb(&mut self, other: &QuantScanStats) {
         self.phase1_points += other.phase1_points;
+        self.pages += other.pages;
+        self.pages_skipped += other.pages_skipped;
         self.reranked += other.reranked;
         self.fallback_rescans += other.fallback_rescans;
         self.plan_misses += other.plan_misses;
@@ -784,12 +929,18 @@ pub fn default_rerank_window(k: usize) -> usize {
     (4 * k).max(k + 64)
 }
 
-/// The two-phase scan: a [`TileCorpus`] plus its quantized code column.
+/// The two-phase scan: a [`TileCorpus`], its quantized code column, and
+/// every page's per-dimension code range.
 #[derive(Debug, Clone)]
 pub struct QuantizedScan {
     corpus: TileCorpus,
     codes: Vec<u8>,
     params: QuantParams,
+    /// Smallest code of each page per dimension, over real points only,
+    /// dimension-major: `page_lo[j * npages + p]`.
+    page_lo: Vec<u8>,
+    /// Largest code of each page per dimension, laid out like `page_lo`.
+    page_hi: Vec<u8>,
 }
 
 impl QuantizedScan {
@@ -821,14 +972,11 @@ impl QuantizedScan {
         let params = QuantParams::fit(flat, dim);
         let mut codes = vec![0u8; corpus.tiles().len()];
         params.encode_tiles(corpus.tiles(), &mut codes);
-        QuantizedScan {
-            corpus,
-            codes,
-            params,
-        }
+        Self::from_parts(corpus, codes, params)
     }
 
     /// Adopts pre-built columns without copying (segment format v2).
+    /// Page code ranges are derived from the code column.
     ///
     /// # Panics
     ///
@@ -836,10 +984,47 @@ impl QuantizedScan {
     pub fn from_parts(corpus: TileCorpus, codes: Vec<u8>, params: QuantParams) -> Self {
         assert_eq!(codes.len(), corpus.tiles().len(), "codes length mismatch");
         assert_eq!(params.dim(), corpus.dim(), "params dimensionality mismatch");
+        let (dim, len) = (corpus.dim(), corpus.len());
+        let tile = dim * TILE_LANES;
+        let npages = len.div_ceil(QUANT_PAGE_POINTS);
+        let mut page_lo = vec![0u8; dim * npages];
+        let mut page_hi = vec![0u8; dim * npages];
+        // Lane-wise extremes over a page's tiles (a straight byte loop
+        // that vectorizes), folded to one range per dimension at the end.
+        let mut lane_lo = vec![0u8; tile];
+        let mut lane_hi = vec![0u8; tile];
+        for (p, page) in codes.chunks(QUANT_BLOCK_TILES * tile).enumerate() {
+            lane_lo.fill(u8::MAX);
+            lane_hi.fill(0);
+            for (t, tc) in page.chunks_exact(tile).enumerate() {
+                let valid = TILE_LANES.min(len - (p * QUANT_BLOCK_TILES + t) * TILE_LANES);
+                if valid == TILE_LANES {
+                    for ((lo, hi), &c) in lane_lo.iter_mut().zip(lane_hi.iter_mut()).zip(tc) {
+                        *lo = (*lo).min(c);
+                        *hi = (*hi).max(c);
+                    }
+                } else {
+                    // The corpus' last tile: padding lanes hold no point.
+                    for j in 0..dim {
+                        for i in j * TILE_LANES..j * TILE_LANES + valid {
+                            lane_lo[i] = lane_lo[i].min(tc[i]);
+                            lane_hi[i] = lane_hi[i].max(tc[i]);
+                        }
+                    }
+                }
+            }
+            for j in 0..dim {
+                let lanes = j * TILE_LANES..(j + 1) * TILE_LANES;
+                page_lo[j * npages + p] = lane_lo[lanes.clone()].iter().copied().min().unwrap_or(0);
+                page_hi[j * npages + p] = lane_hi[lanes].iter().copied().max().unwrap_or(0);
+            }
+        }
         QuantizedScan {
             corpus,
             codes,
             params,
+            page_lo,
+            page_hi,
         }
     }
 
@@ -868,6 +1053,25 @@ impl QuantizedScan {
         self.corpus.is_empty()
     }
 
+    /// Number of phase-1 pages ([`QUANT_PAGE_POINTS`] points each; the
+    /// last may be partial).
+    pub fn npages(&self) -> usize {
+        self.corpus.len().div_ceil(QUANT_PAGE_POINTS)
+    }
+
+    /// Real points in page `p`.
+    fn page_points(&self, p: usize) -> usize {
+        QUANT_PAGE_POINTS.min(self.corpus.len() - p * QUANT_PAGE_POINTS)
+    }
+
+    /// A lower bound on the computed exact distance of every point of
+    /// each page under `plan` (see [`QuantPlan::page_bounds`]).
+    fn page_bounds(&self, plan: &QuantPlan) -> Vec<PageBound> {
+        let mut out = Vec::new();
+        plan.page_bounds(&self.page_lo, &self.page_hi, self.npages(), &mut out);
+        out
+    }
+
     /// Exact k-NN (phase 1 skipped entirely).
     ///
     /// # Panics
@@ -881,21 +1085,10 @@ impl QuantizedScan {
     /// acceptance — returns exactly what [`Self::knn`] would, plus
     /// phase counters. `window` overrides [`default_rerank_window`].
     ///
-    /// The acceptance argument: every point outside the candidate heap
-    /// has `LB ≥ heap_max` (the heap's final worst bound), and
-    /// `LB ≤ exact` by soundness, so when the k-th reranked distance
-    /// `D < heap_max`, no outside point can beat any returned neighbor;
-    /// ties at `D` itself are settled by the strict inequality. When the
-    /// heap never filled, every point was reranked.
-    ///
-    /// When the window is too tight to certify, the scan does **not**
-    /// rescan exactly: the k-th *exact* distance `τ` from the first
-    /// rerank upper-bounds the true k-th distance, so a second rerank
-    /// over every point with `LB ≤ τ` provably contains the true top-k
-    /// — the candidate set is sized by the quantization error bound
-    /// itself rather than a guessed window. Only a bound violated by an
-    /// exact distance (`D < LB`, impossible unless the soundness margins
-    /// are broken) falls back to one full exact pass.
+    /// The scan seeds itself: the `k`-th exact distance among the points
+    /// of its best-ranked page(s) (see [`seed_bound`]) is an upper bound
+    /// `τ0` on the true `k`-th distance, and
+    /// [`Self::two_phase_knn_within`] runs under it.
     ///
     /// # Panics
     ///
@@ -906,6 +1099,59 @@ impl QuantizedScan {
         k: usize,
         window: Option<usize>,
     ) -> (Vec<Neighbor>, QuantScanStats) {
+        self.two_phase(query, k, window, None)
+    }
+
+    /// The two-phase scan under a caller-supplied bound `τ0`: returns the
+    /// exact top-`k` restricted to distances `≤ τ0` — when `τ0` is at or
+    /// above the scan's own `k`-th distance, that is exactly
+    /// [`Self::knn`]. With `τ0` taken from [`seed_bound`] over all the
+    /// scans of a corpus, the scans' results merge to the global top-`k`.
+    /// A NaN bound counts as infinite.
+    ///
+    /// **Phase 1** streams the code column page by page. A page whose
+    /// bound exceeds `min(τ0, heap max)` is skipped unread; otherwise the
+    /// page's lower bounds land in one L1-sized buffer and points with
+    /// `LB ≤ τ0` are offered to a heap of the `m` smallest.
+    ///
+    /// **Certification.** Every point that was not reranked has
+    /// `D > τ0` (a skipped page or a point over `τ0`) or `D ≥ heap_max`
+    /// (dropped by the full heap, or in a page skipped by the heap max,
+    /// which only falls). So the reranked top-`k` is exact when nothing
+    /// was dropped by the heap, when `d_k < heap_max`, or when
+    /// `τ0 < heap_max`; ties at `d_k` itself are settled by the strict
+    /// inequalities. Otherwise a bound-driven second round reranks every
+    /// point with `LB ≤ τ = min(τ0, d_k)`, which provably holds every
+    /// point within `τ`: phase 1 keeps the points with `LB ≤ τ0` of the
+    /// pages it read (up to 4 B per point of the scan, else those pages
+    /// are bounded again), and a page the heap max skipped is bounded
+    /// again when its bound is `≤ τ`.
+    /// Only a bound violated by an exact distance (`D < LB`, impossible
+    /// unless the soundness margins are broken) falls back to one full
+    /// exact pass; a query without a plan runs exact from the start.
+    /// Both answers are cut to `τ0` too.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k == 0` or the query dimensionality disagrees.
+    pub fn two_phase_knn_within<Q: QueryDistance + ?Sized>(
+        &self,
+        query: &Q,
+        k: usize,
+        window: Option<usize>,
+        bound: f64,
+    ) -> (Vec<Neighbor>, QuantScanStats) {
+        let bound = if bound.is_nan() { f64::INFINITY } else { bound };
+        self.two_phase(query, k, window, Some(bound))
+    }
+
+    fn two_phase<Q: QueryDistance + ?Sized>(
+        &self,
+        query: &Q,
+        k: usize,
+        window: Option<usize>,
+        bound: Option<f64>,
+    ) -> (Vec<Neighbor>, QuantScanStats) {
         assert_eq!(
             query.dim(),
             self.corpus.dim(),
@@ -913,11 +1159,22 @@ impl QuantizedScan {
         );
         let mut stats = QuantScanStats::default();
         let n = self.corpus.len();
+        // The exact answer, cut to the caller's bound like every other.
+        let exact = |stats| {
+            let neighbors = self.knn(query, k);
+            (
+                match bound {
+                    Some(b) => within(neighbors, b),
+                    None => neighbors,
+                },
+                stats,
+            )
+        };
         let plan = match query.quantized_plan(&self.params) {
             Some(plan) => plan,
             None => {
                 stats.plan_misses = 1;
-                return (self.knn(query, k), stats);
+                return exact(stats);
             }
         };
         let kk = k.min(n);
@@ -925,63 +1182,174 @@ impl QuantizedScan {
             .unwrap_or_else(|| default_rerank_window(kk))
             .max(kk)
             .min(n);
-
-        // Phase 1: every point's lower bound (kept whole — 4 bytes per
-        // point — so a failed certification can re-select candidates
-        // without re-running the kernel), plus a heap of the m smallest.
-        let ntiles = self.corpus.ntiles();
-        let mut acc = Vec::new();
-        let mut lb = vec![0.0f32; ntiles * TILE_LANES];
-        plan.lower_bounds(&self.codes, ntiles, &mut acc, &mut lb);
-        let mut heap = TopK::new(m);
-        for (p, &b) in lb[..n].iter().enumerate() {
-            heap.offer(p, f64::from(b));
-        }
-        stats.phase1_points = n as u64;
-        let overflowed = n > m;
-        let cands = heap.into_sorted();
-        let heap_max = cands.last().map_or(0.0, |c| c.distance);
-
-        // Phase 2: gather candidates in id order (cache-friendly) and
-        // rerank with the exact kernel.
-        let mut by_id: Vec<(usize, f64)> = cands.iter().map(|c| (c.id, c.distance)).collect();
-        by_id.sort_unstable_by_key(|&(id, _)| id);
-        let (result, mut unsound) = self.rerank(query, kk, &by_id);
-        stats.reranked = by_id.len() as u64;
-
-        let certified =
-            !unsound && (!overflowed || result.threshold().is_some_and(|d_k| d_k < heap_max));
-        if certified {
-            return (result.into_sorted(), stats);
-        }
-
-        if !unsound {
-            // Second, bound-driven round: τ (the k-th exact distance
-            // seen so far) upper-bounds the true k-th distance, and
-            // `LB ≤ D` for every point, so {p : LB ≤ τ} ⊇ true top-k.
-            // Any outside point has D ≥ LB > τ ≥ final d_k, strictly —
-            // exactness needs no further certification.
-            let tau = result.threshold().expect("m ≥ kk candidates reranked");
-            let by_id: Vec<(usize, f64)> = lb[..n]
-                .iter()
-                .enumerate()
-                .filter_map(|(p, &b)| {
-                    let b = f64::from(b);
-                    (b <= tau).then_some((p, b))
+        let bounds = self.page_bounds(&plan);
+        stats.pages = bounds.len() as u64;
+        let tau0 = match bound {
+            Some(tau0) => Some(tau0),
+            None => {
+                let mut pages: Vec<SeedPage> =
+                    bounds.iter().enumerate().map(|(p, &b)| (b, 0, p)).collect();
+                seed_from_pages(&[self], &mut pages, query, kk).map(|(tau0, evaluated)| {
+                    stats.reranked += evaluated;
+                    tau0
                 })
-                .collect();
-            let (result, unsound2) = self.rerank(query, kk, &by_id);
-            stats.reranked += by_id.len() as u64;
-            unsound = unsound2;
-            if !unsound {
-                return (result.into_sorted(), stats);
             }
+        };
+        if let Some(result) =
+            tau0.and_then(|tau0| self.scan_pages(query, &plan, &bounds, kk, m, tau0, &mut stats))
+        {
+            return (result, stats);
         }
-
         // A violated bound means the soundness margins failed (a bug,
         // or memory corruption): serve the query exactly anyway.
         stats.fallback_rescans = 1;
-        (self.knn(query, k), stats)
+        exact(stats)
+    }
+
+    /// Phase 1 over the pages, phase 2, certification and the
+    /// bound-driven second round (see [`Self::two_phase_knn_within`]).
+    /// `None` when an exact distance violated its bound.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_pages<Q: QueryDistance + ?Sized>(
+        &self,
+        query: &Q,
+        plan: &QuantPlan,
+        bounds: &[PageBound],
+        kk: usize,
+        m: usize,
+        tau0: f64,
+        stats: &mut QuantScanStats,
+    ) -> Option<Vec<Neighbor>> {
+        let mut acc = Vec::new();
+        let mut page_lb = vec![0.0f32; QUANT_PAGE_POINTS];
+        let mut heap = TopK::new(m);
+        // min(τ0, heap max once full): the skip and offer threshold.
+        let mut threshold = tau0;
+        // Every point with LB ≤ τ0 in the pages read, in id order, for a
+        // second round: kept while it stays within 4 B per point of the
+        // scan, dropped past that (its pages are then bounded again).
+        let cap = self.corpus.len() / 4;
+        let mut kept: Option<Vec<(usize, f64)>> = Some(Vec::new());
+        let mut within_tau0 = 0usize;
+        // Pages skipped by the heap max alone (bound ≤ τ0).
+        let mut heap_skipped: Vec<usize> = Vec::new();
+        for (p, page_bound) in bounds.iter().map(|b| b.bound).enumerate() {
+            if page_bound > threshold {
+                stats.pages_skipped += 1;
+                if page_bound <= tau0 {
+                    heap_skipped.push(p);
+                }
+                continue;
+            }
+            let base = p * QUANT_PAGE_POINTS;
+            let lb = self.page_lower_bounds(plan, p, &mut acc, &mut page_lb);
+            stats.phase1_points += lb.len() as u64;
+            for (i, &b) in lb.iter().enumerate() {
+                let b = f64::from(b);
+                if b > tau0 {
+                    continue;
+                }
+                within_tau0 += 1;
+                if let Some(list) = kept.as_mut() {
+                    if list.len() < cap {
+                        list.push((base + i, b));
+                    } else {
+                        kept = None;
+                    }
+                }
+                if b <= threshold {
+                    heap.offer(base + i, b);
+                    if let Some(heap_max) = heap.threshold() {
+                        threshold = heap_max.min(tau0);
+                    }
+                }
+            }
+        }
+        // Whether the heap dropped a point that could be within τ0.
+        let dropped = !heap_skipped.is_empty() || within_tau0 > m;
+        let heap_max = heap.threshold();
+
+        // Phase 2: gather candidates in id order (cache-friendly) and
+        // rerank with the exact kernel.
+        let mut by_id: Vec<(usize, f64)> = heap
+            .into_sorted()
+            .iter()
+            .map(|c| (c.id, c.distance))
+            .collect();
+        by_id.sort_unstable_by_key(|&(id, _)| id);
+        let (result, unsound) = self.rerank(query, kk, &by_id);
+        stats.reranked += by_id.len() as u64;
+        if unsound {
+            return None;
+        }
+        let d_k = result.threshold();
+        let certified =
+            !dropped || heap_max.is_some_and(|h| tau0 < h || d_k.is_some_and(|d_k| d_k < h));
+        if certified {
+            return Some(within(result.into_sorted(), tau0));
+        }
+
+        // Second, bound-driven round: τ upper-bounds every distance the
+        // answer needs, and `LB ≤ D` for every point (`page bound ≤ D`
+        // for every page), so {p : LB ≤ τ} ⊇ the answer. Any outside
+        // point has D ≥ LB > τ, strictly — no further certification.
+        let tau = d_k.map_or(tau0, |d_k| d_k.min(tau0));
+        let (mut by_id, unread): (Vec<(usize, f64)>, Vec<usize>) = match kept {
+            Some(list) => (
+                list.into_iter().filter(|&(_, b)| b <= tau).collect(),
+                heap_skipped,
+            ),
+            None => (Vec::new(), (0..bounds.len()).collect()),
+        };
+        for p in unread {
+            if bounds[p].bound > tau {
+                continue;
+            }
+            let base = p * QUANT_PAGE_POINTS;
+            let lb = self.page_lower_bounds(plan, p, &mut acc, &mut page_lb);
+            stats.phase1_points += lb.len() as u64;
+            by_id.extend(
+                lb.iter()
+                    .enumerate()
+                    .map(|(i, &b)| (base + i, f64::from(b)))
+                    .filter(|&(_, b)| b <= tau),
+            );
+        }
+        by_id.sort_unstable_by_key(|&(id, _)| id);
+        let (result, unsound) = self.rerank(query, kk, &by_id);
+        stats.reranked += by_id.len() as u64;
+        (!unsound).then(|| within(result.into_sorted(), tau0))
+    }
+
+    /// Phase-1 lower bounds of page `p`'s real points, computed into
+    /// `out` (one page long) with `acc` as kernel scratch.
+    fn page_lower_bounds<'a>(
+        &self,
+        plan: &QuantPlan,
+        p: usize,
+        acc: &mut Vec<f32>,
+        out: &'a mut [f32],
+    ) -> &'a [f32] {
+        let tile = self.corpus.dim() * TILE_LANES;
+        let t0 = p * QUANT_BLOCK_TILES;
+        let bt = QUANT_BLOCK_TILES.min(self.corpus.ntiles() - t0);
+        let out = &mut out[..bt * TILE_LANES];
+        plan.lower_bounds(&self.codes[t0 * tile..(t0 + bt) * tile], bt, acc, out);
+        &out[..self.page_points(p)]
+    }
+
+    /// Computed exact distances of page `p`'s real points into `out`.
+    fn page_distances<Q: QueryDistance + ?Sized>(&self, query: &Q, p: usize, out: &mut Vec<f64>) {
+        let tile = self.corpus.dim() * TILE_LANES;
+        let t0 = p * QUANT_BLOCK_TILES;
+        let pts = self.page_points(p);
+        out.clear();
+        out.resize(pts, 0.0);
+        query.distance_tiles(
+            &self.corpus.tiles()[t0 * tile..(t0 + pts.div_ceil(TILE_LANES)) * tile],
+            self.corpus.dim(),
+            out,
+        );
     }
 
     /// Exactly reranks `by_id` (ascending-id `(id, lower_bound)` pairs)
@@ -996,7 +1364,7 @@ impl QuantizedScan {
         let dim = self.corpus.dim();
         let mut result = TopK::new(kk);
         let mut unsound = false;
-        let block = TILE_LANES * QUANT_BLOCK_TILES;
+        let block = QUANT_PAGE_POINTS;
         let mut rows = vec![0.0f64; block * dim];
         let mut dist = vec![0.0f64; block];
         for chunk in by_id.chunks(block) {
@@ -1014,6 +1382,117 @@ impl QuantizedScan {
         }
         (result, unsound)
     }
+}
+
+/// Sorted neighbors cut to distances `≤ tau0`.
+fn within(mut neighbors: Vec<Neighbor>, tau0: f64) -> Vec<Neighbor> {
+    let keep = neighbors.partition_point(|n| n.distance <= tau0);
+    neighbors.truncate(keep);
+    neighbors
+}
+
+/// The seed bound `τ0` of a top-`k` query over the scans of one corpus
+/// (its shards): the `k`-th smallest computed exact distance among the
+/// real points of the best-ranked pages (see [`PageBound::rank`])
+/// across all scans, read exactly. Those are at least `k` real points
+/// of the corpus, so `τ0` is at or above the corpus' `k`-th distance,
+/// and every scan may run [`QuantizedScan::two_phase_knn_within`] under
+/// it — the results merge to the exact global top-`k`.
+///
+/// Returns `(τ0, exact distances computed)`. `τ0` is infinite when the
+/// seed would read every page of the scans whose plan compiles, or when
+/// a seed point's exact distance falls below its page bound (unsound
+/// margins; the scans then check their own bounds).
+///
+/// # Panics
+///
+/// Panics when `k == 0` or a scan's dimensionality disagrees with the
+/// query.
+pub fn seed_bound<Q: QueryDistance + ?Sized>(
+    scans: &[&QuantizedScan],
+    query: &Q,
+    k: usize,
+) -> (f64, u64) {
+    assert!(k > 0, "k must be positive");
+    let mut pages: Vec<SeedPage> = Vec::new();
+    for (s, scan) in scans.iter().enumerate() {
+        assert_eq!(
+            query.dim(),
+            scan.corpus.dim(),
+            "query dimensionality mismatch"
+        );
+        if let Some(plan) = query.quantized_plan(&scan.params) {
+            let bounds = scan.page_bounds(&plan);
+            pages.extend(bounds.into_iter().enumerate().map(|(p, b)| (b, s, p)));
+        }
+    }
+    seed_from_pages(scans, &mut pages, query, k).unwrap_or((f64::INFINITY, 0))
+}
+
+/// Seed pages read past the first `k` points: the next best-ranked
+/// pages whose bound is under the running `τ0` (a query's own points
+/// can straddle two pages, and margins can tie a stray page with it).
+const SEED_PAGES: usize = 4;
+
+/// A candidate seed page: its bound, scan and page index.
+type SeedPage = (PageBound, usize, usize);
+
+/// `τ0` from the candidate pages: the `k`-th smallest exact distance
+/// over the best-ranked pages holding `k` points, plus any of the first
+/// [`SEED_PAGES`] whose bound is under the running `τ0`. Infinite when
+/// that would read every page. `None` when an exact distance fell below
+/// its page bound.
+fn seed_from_pages<Q: QueryDistance + ?Sized>(
+    scans: &[&QuantizedScan],
+    pages: &mut [SeedPage],
+    query: &Q,
+    k: usize,
+) -> Option<(f64, u64)> {
+    let order = |a: &SeedPage, b: &SeedPage| {
+        (a.0.rank.total_cmp(&b.0.rank))
+            .then(a.0.bound.total_cmp(&b.0.bound))
+            .then((a.1, a.2).cmp(&(b.1, b.2)))
+    };
+    let points: usize = pages.iter().map(|&(_, s, p)| scans[s].page_points(p)).sum();
+    if points <= k {
+        return Some((f64::INFINITY, 0));
+    }
+    // Order only the best few; the rest are sorted only if `k` spans
+    // more pages.
+    let few = SEED_PAGES.min(pages.len());
+    pages.select_nth_unstable_by(few - 1, order);
+    pages[..few].sort_unstable_by(order);
+    let mut distances = Vec::new();
+    let mut page = Vec::new();
+    let mut tau0 = f64::INFINITY;
+    let mut taken = 0;
+    for i in 0..pages.len() {
+        let held = distances.len() >= k;
+        if held && i >= few {
+            break;
+        }
+        if i == few {
+            pages[few..].sort_unstable_by(order);
+        }
+        let (page_bound, s, p) = pages[i];
+        if held && page_bound.bound >= tau0 {
+            continue;
+        }
+        if taken + 1 == pages.len() {
+            // Reading every page leaves nothing to prune.
+            return Some((f64::INFINITY, distances.len() as u64));
+        }
+        scans[s].page_distances(query, p, &mut page);
+        if page.iter().any(|&d| d < page_bound.bound) {
+            return None;
+        }
+        distances.extend_from_slice(&page);
+        taken += 1;
+        if distances.len() >= k {
+            tau0 = *distances.select_nth_unstable_by(k - 1, f64::total_cmp).1;
+        }
+    }
+    Some((tau0, distances.len() as u64))
 }
 
 #[cfg(test)]
@@ -1114,7 +1593,7 @@ mod tests {
             let (got, stats) = qs.two_phase_knn(&q, k, None);
             let want = scan.knn(&q, k);
             assert_eq!(got, want, "k={k}");
-            assert_eq!(stats.phase1_points, 2000);
+            assert_eq!(stats.pages, 8);
             assert!(stats.plan_misses == 0);
         }
     }
@@ -1156,6 +1635,83 @@ mod tests {
             let (got, _) = qs.two_phase_knn(&q, 10, Some(10));
             assert_eq!(got, scan.knn(&q, 10));
         }
+    }
+
+    #[test]
+    fn heap_skipped_pages_rejoin_the_second_round() {
+        // Page 0's points quantize close to the query but lie farther
+        // than page 1's, whose bound exceeds page 0's point bounds: a
+        // one-slot heap skips page 1, fails to certify, and must read
+        // page 1 again in the second round to find the true neighbor —
+        // whether the points within τ0 were kept (bound 30) or the list
+        // overflowed and every page is bounded again (no bound).
+        let mut pts = vec![vec![5.9, 0.0]; QUANT_PAGE_POINTS];
+        pts.extend(vec![vec![0.0, 5.0]; QUANT_PAGE_POINTS]);
+        pts.extend(vec![vec![1020.0, 10.0]; 4 * QUANT_PAGE_POINTS + 1]);
+        let qs = QuantizedScan::from_rows(&pts);
+        let q = EuclideanQuery::new(vec![0.0, 0.0]);
+        let want = LinearScan::new(&pts).knn(&q, 1);
+        assert_eq!(want[0].id, QUANT_PAGE_POINTS);
+        for bound in [30.0, f64::INFINITY] {
+            let (got, stats) = qs.two_phase_knn_within(&q, 1, Some(1), bound);
+            assert_eq!(got, want, "bound {bound}");
+            assert_eq!(stats.pages_skipped, 6, "page 1 and the far pages skipped");
+            assert_eq!(stats.fallback_rescans, 0);
+        }
+    }
+
+    #[test]
+    fn page_bounds_are_sound_for_every_member() {
+        // Sorted on one coordinate, pages are slabs with positive bounds
+        // away from the query; 1000 points leave a partial last page.
+        let mut pts = corpus(1000, 7);
+        pts.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        let qs = QuantizedScan::from_rows(&pts);
+        assert_eq!(qs.npages(), 4);
+        let check = |bounds: &[PageBound], exact: &dyn Fn(&[f64]) -> f64| {
+            assert!(bounds.iter().any(|b| b.bound > 0.0), "vacuous bounds");
+            for (i, p) in pts.iter().enumerate() {
+                let b = bounds[i / QUANT_PAGE_POINTS];
+                assert!(
+                    b.bound <= exact(p),
+                    "page bound {} exceeds exact {} at {i}",
+                    b.bound,
+                    exact(p)
+                );
+            }
+        };
+        let w = vec![1.0, 0.5, 2.0, 0.0, 0.75, 1.5, 0.25];
+        let q = WeightedEuclideanQuery::new(pts[3].clone(), w.clone());
+        let plan = q.quantized_plan(qs.params()).expect("plan compiles");
+        check(&qs.page_bounds(&plan), &|p| q.distance(p));
+
+        // Five components span two kernel chunks; the exact distance is
+        // their harmonic aggregate.
+        let centers: Vec<Vec<f64>> = (0..5).map(|r| pts[r * 97 + 5].clone()).collect();
+        let masses = [1.0, 2.0, 0.5, 3.0, 1.5];
+        let total: f64 = masses.iter().sum();
+        let specs: Vec<QuantSpec<'_>> = centers
+            .iter()
+            .zip(masses)
+            .map(|(c, mass)| QuantSpec {
+                weights: Some(&w),
+                center: c,
+                mass,
+            })
+            .collect();
+        let plan = QuantPlan::build(qs.params(), &specs, total).expect("plan compiles");
+        let exact = |p: &[f64]| {
+            let sum: f64 = centers
+                .iter()
+                .zip(masses)
+                .map(|(c, m)| {
+                    let d: f64 = (0..7).map(|j| w[j] * (p[j] - c[j]) * (p[j] - c[j])).sum();
+                    m / d
+                })
+                .sum();
+            total / sum
+        };
+        check(&qs.page_bounds(&plan), &exact);
     }
 
     #[test]

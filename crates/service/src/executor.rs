@@ -22,6 +22,18 @@
 //! without bound. Dead workers are respawned transparently on the next
 //! fan-out ([`Executor::heal`]).
 //!
+//! ## Seed bound
+//!
+//! Before fanning out over quantized shards, the caller's thread reads
+//! the best-ranked pages across them exactly
+//! ([`ShardedCorpus::seed_bound`]); their `k`-th distance lets every leg
+//! skip pages that cannot hold a global top-`k` point, and each leg
+//! returns its top-`k` cut to that bound. When a leg is missing
+//! (degraded) and the cut survivors hold fewer than `k` points, the cut
+//! ones are re-answered unseeded on the caller's thread, so a degraded
+//! answer is the exact top-`k` over the surviving shards, as without a
+//! seed.
+//!
 //! ## Failpoints
 //!
 //! Chaos tests inject faults through `qcluster-failpoint`:
@@ -36,6 +48,7 @@ use crate::shard::ShardedCorpus;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, Neighbor, NodeCache, QueryDistance, SearchStats};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -503,6 +516,13 @@ impl Executor {
             }
         }
 
+        // A panicking seed only forfeits the pruning; the legs report
+        // their own failures.
+        let seed = catch_unwind(AssertUnwindSafe(|| corpus.seed_bound(query, k, &admitted)))
+            .ok()
+            .flatten();
+        let bound = seed.map(|(bound, _)| bound);
+
         let (result_tx, result_rx) = channel::unbounded::<ShardOutcome>();
         for &i in &admitted {
             let shard = Arc::clone(&corpus.shards()[i]);
@@ -514,7 +534,7 @@ impl Executor {
             self.submit(Box::new(move || {
                 let _slot = slot;
                 let job_start = Instant::now();
-                let outcome = run_shard_job(i, &shard, &*shard_query, k, cache.as_ref());
+                let outcome = run_shard_job(i, &shard, &*shard_query, k, cache.as_ref(), bound);
                 if outcome.is_ok() {
                     shard_latency.record(job_start.elapsed());
                 }
@@ -527,8 +547,8 @@ impl Executor {
         // Collect until every admitted shard reported or the deadline
         // elapsed. `arrived` attributes timeouts to specific shards.
         let mut arrived = vec![false; num_shards];
-        let mut per_shard: Vec<Vec<Neighbor>> = Vec::with_capacity(admitted.len());
-        let mut stats = SearchStats::default();
+        let mut per_shard: Vec<(usize, Vec<Neighbor>)> = Vec::with_capacity(admitted.len());
+        let mut stats = seed.map_or_else(SearchStats::default, |(_, seed_stats)| seed_stats);
         let mut shards_ok = 0usize;
         let mut received = 0usize;
         let mut lost = false;
@@ -562,15 +582,8 @@ impl Executor {
             match result {
                 Ok((neighbors, shard_stats)) => {
                     breakers[shard].record_success();
-                    stats.nodes_accessed += shard_stats.nodes_accessed;
-                    stats.cache_hits += shard_stats.cache_hits;
-                    stats.disk_reads += shard_stats.disk_reads;
-                    stats.distance_evaluations += shard_stats.distance_evaluations;
-                    stats.quant_phase1_points += shard_stats.quant_phase1_points;
-                    stats.quant_reranked += shard_stats.quant_reranked;
-                    stats.quant_fallbacks += shard_stats.quant_fallbacks;
-                    stats.quant_plan_misses += shard_stats.quant_plan_misses;
-                    per_shard.push(neighbors);
+                    stats.absorb(&shard_stats);
+                    per_shard.push((shard, neighbors));
                     shards_ok += 1;
                 }
                 Err(kind) => {
@@ -617,9 +630,30 @@ impl Executor {
             };
         }
 
+        // Seeded legs hold every global top-k point, so only a missing
+        // leg can leave the survivors short of their own top-k.
+        let held: usize = per_shard.iter().map(|(_, list)| list.len()).sum();
+        let reachable: usize = per_shard
+            .iter()
+            .map(|&(i, _)| corpus.shards()[i].len())
+            .sum();
+        if held < k.min(reachable) {
+            for (i, list) in &mut per_shard {
+                let shard = &corpus.shards()[*i];
+                if list.len() < k.min(shard.len()) {
+                    if let Ok((full, shard_stats)) =
+                        catch_unwind(AssertUnwindSafe(|| shard.knn(query, k, None)))
+                    {
+                        *list = full;
+                        stats.absorb(&shard_stats);
+                    }
+                }
+            }
+        }
+
         failures.sort_by_key(|f| f.shard);
         Ok(FanoutReport {
-            neighbors: merge_top_k(per_shard, k),
+            neighbors: merge_top_k(per_shard.into_iter().map(|(_, list)| list).collect(), k),
             stats,
             shards_ok,
             shards_total: num_shards,
@@ -636,8 +670,13 @@ fn run_shard_job(
     query: &dyn FanoutQuery,
     k: usize,
     cache: Option<&Arc<Mutex<NodeCache>>>,
+    bound: Option<f64>,
 ) -> Result<(Vec<Neighbor>, SearchStats), ShardFailureKind> {
-    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+    let search = |cache: Option<&mut NodeCache>| match bound {
+        Some(bound) => shard.knn_within(query, k, cache, bound),
+        None => shard.knn(query, k, cache),
+    };
+    let unwound = catch_unwind(AssertUnwindSafe(
         || -> Result<(Vec<Neighbor>, SearchStats), ShardFailureKind> {
             // Failpoints: the shard-specific name wins over the generic
             // one; formatting only happens while any failpoint is armed.
@@ -664,9 +703,9 @@ fn run_shard_job(
             Ok(match cache {
                 Some(cache) => {
                     let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-                    shard.knn(query, k, Some(&mut cache))
+                    search(Some(&mut cache))
                 }
-                None => shard.knn(query, k, None),
+                None => search(None),
             })
         },
     ));

@@ -2,6 +2,7 @@
 //! cache, eviction, and session gauges — all plain atomics so the hot
 //! query path never takes a lock to record.
 
+use qcluster_index::SearchStats;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -267,6 +268,8 @@ pub struct ServiceMetrics {
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     quant_phase1_points: AtomicU64,
+    quant_pages: AtomicU64,
+    quant_pages_skipped: AtomicU64,
     quant_reranked: AtomicU64,
     quant_fallbacks: AtomicU64,
     quant_plan_misses: AtomicU64,
@@ -319,12 +322,19 @@ impl ServiceMetrics {
 
     /// Folds one query's two-phase quantized-scan accounting into the
     /// totals (all zero when no shard ran a quantized scan).
-    pub fn record_quant(&self, phase1_points: u64, reranked: u64, fallbacks: u64, misses: u64) {
+    pub fn record_quant(&self, stats: &SearchStats) {
         self.quant_phase1_points
-            .fetch_add(phase1_points, Ordering::Relaxed);
-        self.quant_reranked.fetch_add(reranked, Ordering::Relaxed);
-        self.quant_fallbacks.fetch_add(fallbacks, Ordering::Relaxed);
-        self.quant_plan_misses.fetch_add(misses, Ordering::Relaxed);
+            .fetch_add(stats.quant_phase1_points, Ordering::Relaxed);
+        self.quant_pages
+            .fetch_add(stats.quant_pages, Ordering::Relaxed);
+        self.quant_pages_skipped
+            .fetch_add(stats.quant_pages_skipped, Ordering::Relaxed);
+        self.quant_reranked
+            .fetch_add(stats.quant_reranked, Ordering::Relaxed);
+        self.quant_fallbacks
+            .fetch_add(stats.quant_fallbacks, Ordering::Relaxed);
+        self.quant_plan_misses
+            .fetch_add(stats.quant_plan_misses, Ordering::Relaxed);
     }
 
     /// Counts `n` evicted sessions (TTL or LRU).
@@ -475,6 +485,8 @@ impl ServiceMetrics {
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             quant: QuantGauges {
                 phase1_points: self.quant_phase1_points.load(Ordering::Relaxed),
+                pages: self.quant_pages.load(Ordering::Relaxed),
+                pages_skipped: self.quant_pages_skipped.load(Ordering::Relaxed),
                 reranked: self.quant_reranked.load(Ordering::Relaxed),
                 fallback_rescans: self.quant_fallbacks.load(Ordering::Relaxed),
                 plan_misses: self.quant_plan_misses.load(Ordering::Relaxed),
@@ -622,6 +634,8 @@ impl MetricsSnapshot {
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
         self.quant.phase1_points += other.quant.phase1_points;
+        self.quant.pages += other.quant.pages;
+        self.quant.pages_skipped += other.quant.pages_skipped;
         self.quant.reranked += other.quant.reranked;
         self.quant.fallback_rescans += other.quant.fallback_rescans;
         self.quant.plan_misses += other.quant.plan_misses;
@@ -684,15 +698,22 @@ impl MetricsSnapshot {
 
 /// Two-phase quantized-scan counters, summed over every query served by
 /// [`crate::ShardKind::Quantized`] shards. All zero when no quantized
-/// shard exists. `phase1_points / reranked` is the pruning ratio; a
-/// non-zero `fallback_rescans` means candidate sets failed
-/// certification and were rescanned exactly (results stay exact either
-/// way).
+/// shard exists. `phase1_points / reranked` is the pruning ratio and
+/// `pages_skipped / pages` the share of pages never read; a non-zero
+/// `fallback_rescans` means candidate sets failed certification and
+/// were rescanned exactly (results stay exact either way).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuantGauges {
-    /// Points lower-bounded from u8 codes in phase 1.
+    /// Points lower-bounded from u8 codes in phase 1 (skipped pages'
+    /// points are not counted).
     pub phase1_points: u64,
-    /// Candidates exactly reranked in phase 2.
+    /// Pages of 256 points the scans addressed.
+    #[serde(default)]
+    pub pages: u64,
+    /// Of those, pages skipped on their page bound.
+    #[serde(default)]
+    pub pages_skipped: u64,
+    /// Exact distances computed: phase-2 candidates plus seed points.
     pub reranked: u64,
     /// Full exact rescans after a failed window certification.
     pub fallback_rescans: u64,

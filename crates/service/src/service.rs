@@ -670,21 +670,13 @@ impl Service {
                 for n in &mut extra {
                     n.id += self.base_len;
                 }
-                stats.nodes_accessed += extra_stats.nodes_accessed;
-                stats.cache_hits += extra_stats.cache_hits;
-                stats.disk_reads += extra_stats.disk_reads;
-                stats.distance_evaluations += extra_stats.distance_evaluations;
+                stats.absorb(&extra_stats);
                 neighbors = merge_top_k(vec![neighbors, extra], k);
             }
         }
         self.metrics
             .record_cache(stats.cache_hits, stats.disk_reads);
-        self.metrics.record_quant(
-            stats.quant_phase1_points,
-            stats.quant_reranked,
-            stats.quant_fallbacks,
-            stats.quant_plan_misses,
-        );
+        self.metrics.record_quant(&stats);
         let elapsed = start.elapsed();
         self.metrics.query_latency.record(elapsed);
         self.metrics.query_hist.record(elapsed);

@@ -8,7 +8,8 @@
 //! corpus — the merged per-shard top-k equals the global top-k.
 
 use qcluster_index::{
-    HybridTree, LinearScan, Neighbor, NodeCache, QuantizedScan, QueryDistance, SearchStats,
+    seed_bound, HybridTree, LinearScan, Neighbor, NodeCache, QuantizedScan, QueryDistance,
+    SearchStats,
 };
 use std::sync::Arc;
 
@@ -23,11 +24,12 @@ pub enum ShardKind {
     /// node-granular cache accounting (the multipoint approach).
     #[default]
     Tree,
-    /// Two-phase quantized scan: phase 1 bounds every point from its u8
-    /// codes, phase 2 exactly reranks the surviving window — results
-    /// bit-for-bit equal to [`ShardKind::Scan`], at a fraction of the
-    /// memory bandwidth. Falls back to the exact scan whenever the
-    /// query cannot be soundly bounded.
+    /// Two-phase quantized scan: phase 1 bounds points from their u8
+    /// codes, skipping whole pages on a page bound, and phase 2 exactly
+    /// reranks the surviving window — results bit-for-bit equal to
+    /// [`ShardKind::Scan`], at a fraction of the memory bandwidth. Falls
+    /// back to the exact scan whenever the query cannot be soundly
+    /// bounded.
     Quantized,
 }
 
@@ -108,10 +110,42 @@ impl Shard {
         k: usize,
         cache: Option<&mut NodeCache>,
     ) -> (Vec<Neighbor>, SearchStats) {
+        self.search(query, k, cache, None)
+    }
+
+    /// [`Shard::knn`] under a seed bound from
+    /// [`ShardedCorpus::seed_bound`]: a quantized shard returns its exact
+    /// top-`k` cut to distances `≤ bound` (see
+    /// `QuantizedScan::two_phase_knn_within`), so the shards' answers
+    /// still merge to the corpus' exact top-`k`. Other kinds ignore the
+    /// bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k == 0` or the query dimensionality disagrees.
+    pub fn knn_within<Q: QueryDistance + ?Sized>(
+        &self,
+        query: &Q,
+        k: usize,
+        cache: Option<&mut NodeCache>,
+        bound: f64,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        self.search(query, k, cache, Some(bound))
+    }
+
+    fn search<Q: QueryDistance + ?Sized>(
+        &self,
+        query: &Q,
+        k: usize,
+        cache: Option<&mut NodeCache>,
+        bound: Option<f64>,
+    ) -> (Vec<Neighbor>, SearchStats) {
         let (mut neighbors, stats) = match &self.index {
             ShardIndex::Scan(s) => scan_top_k(s, query, k, cache),
             ShardIndex::Tree(t) => t.knn(&query, k, cache),
-            ShardIndex::Quantized(q) => quantized_top_k(q, query, k, self.rerank_window, cache),
+            ShardIndex::Quantized(q) => {
+                quantized_top_k(q, query, k, self.rerank_window, bound, cache)
+            }
         };
         for n in &mut neighbors {
             n.id += self.base;
@@ -153,6 +187,7 @@ fn quantized_top_k<Q: QueryDistance + ?Sized>(
     query: &Q,
     k: usize,
     window: Option<usize>,
+    bound: Option<f64>,
     cache: Option<&mut NodeCache>,
 ) -> (Vec<Neighbor>, SearchStats) {
     let mut stats = SearchStats {
@@ -164,13 +199,18 @@ fn quantized_top_k<Q: QueryDistance + ?Sized>(
         stats.cache_hits = 1;
     }
     stats.disk_reads = stats.nodes_accessed - stats.cache_hits;
-    let (neighbors, q) = scan.two_phase_knn(query, k, window);
+    let (neighbors, q) = match bound {
+        Some(bound) => scan.two_phase_knn_within(query, k, window, bound),
+        None => scan.two_phase_knn(query, k, window),
+    };
     // Exact f64 distance evaluations actually performed: the reranked
-    // window, plus full scans when the plan was unusable (miss) or its
-    // candidate set failed certification (fallback rescan).
+    // window and seed, plus full scans when the plan was unusable (miss)
+    // or a bound proved unsound (fallback rescan).
     stats.distance_evaluations =
         q.reranked + (q.fallback_rescans + q.plan_misses) * scan.len() as u64;
     stats.quant_phase1_points = q.phase1_points;
+    stats.quant_pages = q.pages;
+    stats.quant_pages_skipped = q.pages_skipped;
     stats.quant_reranked = q.reranked;
     stats.quant_fallbacks = q.fallback_rescans;
     stats.quant_plan_misses = q.plan_misses;
@@ -240,6 +280,41 @@ impl ShardedCorpus {
             dim,
             len: points.len(),
         }
+    }
+
+    /// The seed bound of a top-`k` query over the quantized shards among
+    /// `shards` (see `qcluster_index::seed_bound`): the `k`-th exact
+    /// distance among the points of the best-ranked pages across them,
+    /// with the search work it took. `None` when none of them is
+    /// quantized.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k == 0`, a shard index is out of range, or the query
+    /// dimensionality disagrees.
+    pub fn seed_bound<Q: QueryDistance + ?Sized>(
+        &self,
+        query: &Q,
+        k: usize,
+        shards: &[usize],
+    ) -> Option<(f64, SearchStats)> {
+        let scans: Vec<&QuantizedScan> = shards
+            .iter()
+            .filter_map(|&i| match &self.shards[i].index {
+                ShardIndex::Quantized(q) => Some(q),
+                _ => None,
+            })
+            .collect();
+        if scans.is_empty() {
+            return None;
+        }
+        let (bound, evaluated) = seed_bound(&scans, query, k);
+        let stats = SearchStats {
+            distance_evaluations: evaluated,
+            quant_reranked: evaluated,
+            ..SearchStats::default()
+        };
+        Some((bound, stats))
     }
 
     /// Number of shards actually built.
